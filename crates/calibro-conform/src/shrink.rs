@@ -206,9 +206,7 @@ fn remove_ranges(current: &mut Program, fails: &dyn Fn(&Program) -> bool) -> boo
             }
             let mut leaders = vec![0usize];
             for (i, insn) in insns.iter().enumerate() {
-                for t in insn.branch_targets() {
-                    leaders.push(t);
-                }
+                leaders.extend_from_slice(insn.branch_targets());
                 if insn.is_block_end() && i + 1 < body_len {
                     leaders.push(i + 1);
                 }

@@ -11,6 +11,8 @@ pub struct DexFile {
     methods: Vec<Method>,
     /// Number of static field slots used by `SGet`/`SPut`.
     num_statics: u32,
+    /// Largest `num_fields` of any class, kept as classes are added.
+    max_fields: u32,
 }
 
 impl DexFile {
@@ -23,6 +25,7 @@ impl DexFile {
     /// Adds a class and returns its id.
     pub fn add_class(&mut self, name: impl Into<String>, num_fields: u32) -> ClassId {
         let id = ClassId(self.classes.len() as u32);
+        self.max_fields = self.max_fields.max(num_fields);
         self.classes.push(Class { id, name: name.into(), num_fields, methods: Vec::new() });
         id
     }
@@ -102,6 +105,12 @@ impl DexFile {
         &self.classes
     }
 
+    /// The largest instance-field count of any class (0 with no classes).
+    #[must_use]
+    pub fn max_fields(&self) -> u32 {
+        self.max_fields
+    }
+
     /// Total bytecode instruction count across all methods.
     #[must_use]
     pub fn total_insns(&self) -> usize {
@@ -128,6 +137,8 @@ mod tests {
             is_native: false,
         });
         assert_eq!(m, MethodId(0));
+        dex.add_class("Small", 1);
+        assert_eq!(dex.max_fields(), 2);
         assert_eq!(dex.method(m).id, m);
         assert_eq!(dex.class(c).methods, vec![m]);
         assert_eq!(dex.total_insns(), 1);

@@ -140,33 +140,33 @@ impl DexInsn {
 
     /// Explicit branch targets of this instruction (fall-through excluded).
     #[must_use]
-    pub fn branch_targets(&self) -> Vec<usize> {
+    pub fn branch_targets(&self) -> &[usize] {
         match self {
             DexInsn::If { target, .. } | DexInsn::IfZ { target, .. } | DexInsn::Goto { target } => {
-                vec![*target]
+                core::slice::from_ref(target)
             }
-            DexInsn::Switch { targets, .. } => targets.clone(),
-            _ => Vec::new(),
+            DexInsn::Switch { targets, .. } => targets,
+            _ => &[],
         }
     }
 
-    /// All registers read by this instruction.
-    #[must_use]
-    pub fn reads(&self) -> Vec<VReg> {
-        match self {
-            DexInsn::Move { src, .. } => vec![*src],
-            DexInsn::Bin { a, b, .. } => vec![*a, *b],
-            DexInsn::BinLit { a, .. } => vec![*a],
-            DexInsn::IGet { obj, .. } => vec![*obj],
-            DexInsn::IPut { src, obj, .. } => vec![*src, *obj],
-            DexInsn::SPut { src, .. } => vec![*src],
-            DexInsn::Invoke { args, .. } | DexInsn::InvokeNative { args, .. } => args.clone(),
-            DexInsn::If { a, b, .. } => vec![*a, *b],
-            DexInsn::IfZ { a, .. } => vec![*a],
-            DexInsn::Switch { src, .. } => vec![*src],
-            DexInsn::Return { src } | DexInsn::Throw { src } => vec![*src],
-            _ => Vec::new(),
-        }
+    /// All registers read by this instruction, in operand order.
+    pub fn reads(&self) -> impl Iterator<Item = VReg> + '_ {
+        let (fixed, args): ([Option<VReg>; 2], &[VReg]) = match self {
+            DexInsn::Bin { a, b, .. } | DexInsn::If { a, b, .. } => ([Some(*a), Some(*b)], &[]),
+            DexInsn::IPut { src, obj, .. } => ([Some(*src), Some(*obj)], &[]),
+            DexInsn::Move { src: a, .. }
+            | DexInsn::BinLit { a, .. }
+            | DexInsn::IGet { obj: a, .. }
+            | DexInsn::SPut { src: a, .. }
+            | DexInsn::IfZ { a, .. }
+            | DexInsn::Switch { src: a, .. }
+            | DexInsn::Return { src: a }
+            | DexInsn::Throw { src: a } => ([Some(*a), None], &[]),
+            DexInsn::Invoke { args, .. } | DexInsn::InvokeNative { args, .. } => ([None; 2], args),
+            _ => ([None; 2], &[]),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 
     /// The register written by this instruction, if any.
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn dataflow_queries() {
         let insn = DexInsn::Bin { op: BinOp::Add, dst: VReg(2), a: VReg(0), b: VReg(1) };
-        assert_eq!(insn.reads(), vec![VReg(0), VReg(1)]);
+        assert_eq!(insn.reads().collect::<Vec<_>>(), vec![VReg(0), VReg(1)]);
         assert_eq!(insn.writes(), Some(VReg(2)));
         let call = DexInsn::Invoke {
             kind: InvokeKind::Virtual,
@@ -223,14 +223,14 @@ mod tests {
             args: vec![VReg(3), VReg(5)],
             dst: Some(VReg(0)),
         };
-        assert_eq!(call.reads(), vec![VReg(3), VReg(5)]);
+        assert_eq!(call.reads().collect::<Vec<_>>(), vec![VReg(3), VReg(5)]);
         assert_eq!(call.writes(), Some(VReg(0)));
     }
 
     #[test]
     fn branch_targets() {
         let sw = DexInsn::Switch { src: VReg(1), first_key: 10, targets: vec![4, 9, 2] };
-        assert_eq!(sw.branch_targets(), vec![4, 9, 2]);
+        assert_eq!(sw.branch_targets(), [4, 9, 2]);
         assert!(DexInsn::ReturnVoid.branch_targets().is_empty());
     }
 }

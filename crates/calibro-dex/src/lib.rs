@@ -37,7 +37,7 @@ mod verify;
 
 pub use builder::{DexLabel, MethodBuilder};
 pub use file::DexFile;
-pub use ids::{ClassId, FieldId, MethodId, StaticId, VReg};
+pub use ids::{ClassId, FieldId, MethodId, RegSet, StaticId, VReg};
 pub use insn::{BinOp, Cmp, DexInsn, InvokeKind};
 pub use method::{Class, Method};
 pub use verify::{verify, verify_intrinsic, verify_references, VerifyError};

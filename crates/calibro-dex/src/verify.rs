@@ -7,7 +7,7 @@
 use core::fmt;
 
 use crate::file::DexFile;
-use crate::ids::MethodId;
+use crate::ids::{MethodId, RegSet, RegTable, VReg};
 use crate::insn::DexInsn;
 use crate::method::Method;
 
@@ -133,9 +133,7 @@ pub fn verify_intrinsic(method: &Method) -> Result<(), VerifyError> {
     let n = method.insns.len();
     for (idx, insn) in method.insns.iter().enumerate() {
         // Register bounds.
-        let mut regs = insn.reads();
-        regs.extend(insn.writes());
-        for reg in regs {
+        for reg in insn.reads().chain(insn.writes()) {
             if reg.0 >= method.num_regs {
                 return Err(VerifyError::RegisterOutOfRange {
                     method: id,
@@ -146,7 +144,7 @@ pub fn verify_intrinsic(method: &Method) -> Result<(), VerifyError> {
             }
         }
         // Branch targets.
-        for target in insn.branch_targets() {
+        for &target in insn.branch_targets() {
             if target >= n {
                 return Err(VerifyError::BadBranchTarget { method: id, insn: idx, target });
             }
@@ -180,22 +178,15 @@ pub fn verify_references(dex: &DexFile, method: &Method) -> Result<(), VerifyErr
     let id = method.id;
     // Fields are class-relative; without static type info we bound-check
     // against the largest class layout.
-    let max_fields = dex.classes().iter().map(|c| c.num_fields).max().unwrap_or(0);
+    let max_fields = dex.max_fields();
     for (idx, insn) in method.insns.iter().enumerate() {
         match insn {
-            DexInsn::Invoke { method: callee, .. } => {
+            DexInsn::Invoke { method: callee, .. }
+            | DexInsn::InvokeNative { method: callee, .. } => {
                 if callee.index() >= dex.methods().len() {
                     return Err(VerifyError::BadMethodRef { method: id, insn: idx });
                 }
-                if dex.method(*callee).is_native {
-                    return Err(VerifyError::WrongInvokeKind { method: id, insn: idx });
-                }
-            }
-            DexInsn::InvokeNative { method: callee, .. } => {
-                if callee.index() >= dex.methods().len() {
-                    return Err(VerifyError::BadMethodRef { method: id, insn: idx });
-                }
-                if !dex.method(*callee).is_native {
+                if dex.method(*callee).is_native != matches!(insn, DexInsn::InvokeNative { .. }) {
                     return Err(VerifyError::WrongInvokeKind { method: id, insn: idx });
                 }
             }
@@ -221,56 +212,41 @@ pub fn verify_references(dex: &DexFile, method: &Method) -> Result<(), VerifyErr
 /// *last* `num_args` slots) are assigned; states meet by intersection, and
 /// every read must see a definitely-assigned register. Runs after the
 /// bounds checks, so register indices are known to be in range.
+///
+/// The worklist is LIFO and successors are pushed branch targets first,
+/// then the fall-through: that visit order decides which bad read is
+/// reported first, so it is part of the verifier's contract.
 fn check_definite_assignment(method: &Method) -> Result<(), VerifyError> {
     let n = method.insns.len();
-    let num_regs = method.num_regs as usize;
-    let words = num_regs.div_ceil(64).max(1);
-    let mut entry = vec![0u64; words];
-    for r in num_regs.saturating_sub(method.num_args as usize)..num_regs {
-        entry[r / 64] |= 1 << (r % 64);
+    let mut out = RegSet::new(method.num_regs);
+    for r in method.num_regs.saturating_sub(method.num_args)..method.num_regs {
+        out.insert(VReg(r));
     }
-    let mut states: Vec<Option<Vec<u64>>> = vec![None; n];
-    states[0] = Some(entry);
+    let mut states = RegTable::new(n, method.num_regs);
+    let mut reached = vec![false; n];
+    states.store(0, &out);
+    reached[0] = true;
     let mut work = vec![0usize];
     while let Some(idx) = work.pop() {
-        let state = states[idx].clone().expect("worklist entries are reached");
+        states.load(idx, &mut out);
         let insn = &method.insns[idx];
-        for reg in insn.reads() {
-            let r = reg.0 as usize;
-            if state[r / 64] & (1 << (r % 64)) == 0 {
-                return Err(VerifyError::UninitializedRead {
-                    method: method.id,
-                    insn: idx,
-                    reg: reg.0,
-                });
-            }
+        if let Some(reg) = insn.reads().find(|&r| !out.contains(r)) {
+            return Err(VerifyError::UninitializedRead {
+                method: method.id,
+                insn: idx,
+                reg: reg.0,
+            });
         }
-        let mut out = state;
         if let Some(dst) = insn.writes() {
-            let r = dst.0 as usize;
-            out[r / 64] |= 1 << (r % 64);
+            out.insert(dst);
         }
-        let mut succs = insn.branch_targets();
-        if !insn.is_unconditional_exit() && idx + 1 < n {
-            succs.push(idx + 1);
-        }
-        for s in succs {
-            let changed = match &mut states[s] {
-                Some(existing) => {
-                    let mut shrank = false;
-                    for (e, o) in existing.iter_mut().zip(&out) {
-                        let met = *e & *o;
-                        if met != *e {
-                            *e = met;
-                            shrank = true;
-                        }
-                    }
-                    shrank
-                }
-                slot @ None => {
-                    *slot = Some(out.clone());
-                    true
-                }
+        let fall = (!insn.is_unconditional_exit() && idx + 1 < n).then_some(idx + 1);
+        for s in insn.branch_targets().iter().copied().chain(fall) {
+            let changed = if std::mem::replace(&mut reached[s], true) {
+                states.meet(s, &out)
+            } else {
+                states.store(s, &out);
+                true
             };
             if changed {
                 work.push(s);
@@ -283,7 +259,7 @@ fn check_definite_assignment(method: &Method) -> Result<(), VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ClassId, StaticId, VReg};
+    use crate::ids::{ClassId, StaticId};
     use crate::insn::{BinOp, InvokeKind};
 
     fn dex_with(insns: Vec<DexInsn>) -> DexFile {

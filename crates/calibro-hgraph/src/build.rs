@@ -25,7 +25,7 @@ pub fn build_hgraph(method: &Method) -> HGraph {
     let mut is_leader = vec![false; n];
     is_leader[0] = true;
     for (i, insn) in insns.iter().enumerate() {
-        for t in insn.branch_targets() {
+        for &t in insn.branch_targets() {
             is_leader[t] = true;
         }
         if insn.is_block_end() && i + 1 < n {
@@ -190,10 +190,9 @@ mod tests {
         b.bind(out);
         b.push(DexInsn::ReturnVoid);
         let g = build_hgraph(&b.build(ClassId(0)));
-        let preds = g.predecessors();
-        // The loop head has two predecessors: entry fall-in is itself the
-        // head here (block 0), so the body jumps back to it.
-        assert!(preds[0].contains(&BlockId(1)));
+        // The entry block is itself the loop head here (block 0), so the
+        // body jumps back to it.
+        assert!(g.blocks[1].terminator.successors().any(|s| s == BlockId(0)));
     }
 
     #[test]

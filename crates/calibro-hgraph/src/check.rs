@@ -64,13 +64,8 @@ pub fn check(graph: &HGraph) -> Result<(), CheckError> {
                 return Err(CheckError::EmptySwitch { block: index });
             }
         }
-        let mut regs: Vec<calibro_dex::VReg> = Vec::new();
-        for insn in &block.insns {
-            regs.extend(insn.reads());
-            regs.extend(insn.writes());
-        }
-        regs.extend(block.terminator.reads());
-        for reg in regs {
+        let insn_regs = block.insns.iter().flat_map(|i| i.reads().chain(i.writes()));
+        for reg in insn_regs.chain(block.terminator.reads()) {
             if reg.0 >= graph.num_regs {
                 return Err(CheckError::RegisterOutOfRange { block: index, reg: reg.0 });
             }

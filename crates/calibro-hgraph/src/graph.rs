@@ -49,19 +49,35 @@ pub enum HInsn {
 }
 
 impl HInsn {
-    /// Registers read.
-    #[must_use]
-    pub fn reads(&self) -> Vec<VReg> {
-        match self {
-            HInsn::Move { src, .. } => vec![*src],
-            HInsn::Bin { a, b, .. } => vec![*a, *b],
-            HInsn::BinLit { a, .. } => vec![*a],
-            HInsn::IGet { obj, .. } => vec![*obj],
-            HInsn::IPut { src, obj, .. } => vec![*src, *obj],
-            HInsn::SPut { src, .. } => vec![*src],
-            HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => args.clone(),
-            _ => Vec::new(),
-        }
+    /// Registers read, in operand order.
+    pub fn reads(&self) -> impl Iterator<Item = VReg> + '_ {
+        let (fixed, args): ([Option<VReg>; 2], &[VReg]) = match self {
+            HInsn::Bin { a, b, .. } => ([Some(*a), Some(*b)], &[]),
+            HInsn::IPut { src, obj, .. } => ([Some(*src), Some(*obj)], &[]),
+            HInsn::Move { src: a, .. }
+            | HInsn::BinLit { a, .. }
+            | HInsn::IGet { obj: a, .. }
+            | HInsn::SPut { src: a, .. } => ([Some(*a), None], &[]),
+            HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => ([None; 2], args),
+            _ => ([None; 2], &[]),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
+    }
+
+    /// Registers read, mutably, in the order of [`HInsn::reads`].
+    pub(crate) fn reads_mut(&mut self) -> impl Iterator<Item = &mut VReg> {
+        let (fixed, args): ([Option<&mut VReg>; 2], &mut [VReg]) = match self {
+            HInsn::Bin { a, b, .. } | HInsn::IPut { src: a, obj: b, .. } => {
+                ([Some(a), Some(b)], &mut [])
+            }
+            HInsn::Move { src: a, .. }
+            | HInsn::BinLit { a, .. }
+            | HInsn::IGet { obj: a, .. }
+            | HInsn::SPut { src: a, .. } => ([Some(a), None], &mut []),
+            HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => ([None, None], args),
+            _ => ([None, None], &mut []),
+        };
+        fixed.into_iter().flatten().chain(args.iter_mut())
     }
 
     /// Register written, if any.
@@ -76,6 +92,21 @@ impl HInsn {
             | HInsn::SGet { dst, .. }
             | HInsn::NewInstance { dst, .. } => Some(*dst),
             HInsn::Invoke { dst, .. } | HInsn::InvokeNative { dst, .. } => *dst,
+            _ => None,
+        }
+    }
+
+    /// Register written, mutably, if any.
+    pub(crate) fn writes_mut(&mut self) -> Option<&mut VReg> {
+        match self {
+            HInsn::Const { dst, .. }
+            | HInsn::Move { dst, .. }
+            | HInsn::Bin { dst, .. }
+            | HInsn::BinLit { dst, .. }
+            | HInsn::IGet { dst, .. }
+            | HInsn::SGet { dst, .. }
+            | HInsn::NewInstance { dst, .. } => Some(dst),
+            HInsn::Invoke { dst, .. } | HInsn::InvokeNative { dst, .. } => dst.as_mut(),
             _ => None,
         }
     }
@@ -117,32 +148,59 @@ pub enum HTerminator {
 
 impl HTerminator {
     /// Successor blocks in evaluation order.
-    #[must_use]
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            HTerminator::Goto { target } => vec![*target],
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + '_ {
+        let (head, tail): (&[BlockId], Option<&BlockId>) = match self {
+            HTerminator::Goto { target } => (core::slice::from_ref(target), None),
             HTerminator::If { then_bb, else_bb, .. }
             | HTerminator::IfZ { then_bb, else_bb, .. } => {
-                vec![*then_bb, *else_bb]
+                (core::slice::from_ref(then_bb), Some(else_bb))
             }
-            HTerminator::Switch { targets, default, .. } => {
-                let mut v = targets.clone();
-                v.push(*default);
-                v
-            }
-            HTerminator::Return { .. } | HTerminator::Throw { .. } => Vec::new(),
-        }
+            HTerminator::Switch { targets, default, .. } => (targets, Some(default)),
+            HTerminator::Return { .. } | HTerminator::Throw { .. } => (&[], None),
+        };
+        head.iter().chain(tail).copied()
     }
 
-    /// Registers read by the terminator.
-    #[must_use]
-    pub fn reads(&self) -> Vec<VReg> {
+    /// Successor blocks, mutably, in the order of [`HTerminator::successors`].
+    pub(crate) fn successors_mut(&mut self) -> impl Iterator<Item = &mut BlockId> {
+        let (head, tail): (&mut [BlockId], Option<&mut BlockId>) = match self {
+            HTerminator::Goto { target } => (core::slice::from_mut(target), None),
+            HTerminator::If { then_bb, else_bb, .. }
+            | HTerminator::IfZ { then_bb, else_bb, .. } => {
+                (core::slice::from_mut(then_bb), Some(else_bb))
+            }
+            HTerminator::Switch { targets, default, .. } => (targets, Some(default)),
+            HTerminator::Return { .. } | HTerminator::Throw { .. } => (&mut [], None),
+        };
+        head.iter_mut().chain(tail)
+    }
+
+    /// Registers read by the terminator, in operand order.
+    pub fn reads(&self) -> impl Iterator<Item = VReg> {
         match self {
-            HTerminator::If { a, b, .. } => vec![*a, *b],
-            HTerminator::IfZ { a, .. } | HTerminator::Switch { src: a, .. } => vec![*a],
-            HTerminator::Return { src: Some(a) } | HTerminator::Throw { src: a } => vec![*a],
-            _ => Vec::new(),
+            HTerminator::If { a, b, .. } => [Some(*a), Some(*b)],
+            HTerminator::IfZ { a, .. }
+            | HTerminator::Switch { src: a, .. }
+            | HTerminator::Return { src: Some(a) }
+            | HTerminator::Throw { src: a } => [Some(*a), None],
+            _ => [None; 2],
         }
+        .into_iter()
+        .flatten()
+    }
+
+    /// Registers read, mutably, in the order of [`HTerminator::reads`].
+    pub(crate) fn reads_mut(&mut self) -> impl Iterator<Item = &mut VReg> {
+        match self {
+            HTerminator::If { a, b, .. } => [Some(a), Some(b)],
+            HTerminator::IfZ { a, .. }
+            | HTerminator::Switch { src: a, .. }
+            | HTerminator::Return { src: Some(a) }
+            | HTerminator::Throw { src: a } => [Some(a), None],
+            _ => [None, None],
+        }
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -183,18 +241,6 @@ impl HGraph {
         self.blocks.iter().map(|b| b.insns.len() + 1).sum()
     }
 
-    /// Predecessor map: `preds[b]` lists blocks jumping to `b`.
-    #[must_use]
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for block in &self.blocks {
-            for succ in block.terminator.successors() {
-                preds[succ.index()].push(block.id);
-            }
-        }
-        preds
-    }
-
     /// Blocks reachable from the entry, in depth-first order.
     #[must_use]
     pub fn reachable(&self) -> Vec<BlockId> {
@@ -206,9 +252,7 @@ impl HGraph {
                 continue;
             }
             order.push(b);
-            for s in self.blocks[b.index()].terminator.successors() {
-                stack.push(s);
-            }
+            stack.extend(self.blocks[b.index()].terminator.successors());
         }
         order
     }
@@ -258,12 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn successor_and_predecessor_queries() {
-        let g = two_block_graph();
-        assert_eq!(g.blocks[0].terminator.successors(), vec![BlockId(1)]);
-        let preds = g.predecessors();
-        assert_eq!(preds[1], vec![BlockId(0)]);
-        assert!(preds[0].is_empty());
+    fn successor_queries() {
+        let mut g = two_block_graph();
+        assert_eq!(g.blocks[0].terminator.successors().collect::<Vec<_>>(), vec![BlockId(1)]);
+        assert_eq!(g.blocks[1].terminator.successors().count(), 0);
+        g.blocks[0].terminator.successors_mut().for_each(|s| *s = BlockId(0));
+        assert_eq!(g.blocks[0].terminator, HTerminator::Goto { target: BlockId(0) });
     }
 
     #[test]

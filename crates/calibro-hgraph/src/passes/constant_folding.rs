@@ -1,10 +1,6 @@
 //! Constant folding and propagation + static branch simplification
 //! (per-block, as in dex2oat's per-method HGraph passes).
 
-use std::collections::HashMap;
-
-use calibro_dex::VReg;
-
 use crate::eval::{eval_binop, eval_cmp};
 use crate::graph::{HGraph, HInsn, HTerminator};
 
@@ -12,60 +8,62 @@ use crate::graph::{HGraph, HInsn, HTerminator};
 /// rewritten.
 pub fn run(graph: &mut HGraph) -> usize {
     let mut changes = 0;
+    // known[r] = Some(v)  means  r holds the constant v.
+    let mut known: Vec<Option<i32>> = vec![None; usize::from(graph.num_regs)];
     for block in &mut graph.blocks {
-        let mut known: HashMap<VReg, i32> = HashMap::new();
+        known.fill(None);
         for insn in &mut block.insns {
             let rewritten = match insn {
                 HInsn::Const { dst, value } => {
-                    known.insert(*dst, *value);
+                    known[dst.index()] = Some(*value);
                     continue;
                 }
-                HInsn::Move { dst, src } => known.get(src).map(|v| (*dst, *v)),
-                HInsn::Bin { op, dst, a, b } => match (known.get(a), known.get(b)) {
-                    (Some(&va), Some(&vb)) => eval_binop(*op, va, vb).map(|v| (*dst, v)),
-                    _ => None,
-                },
-                HInsn::BinLit { op, dst, a, lit } => known
-                    .get(a)
-                    .and_then(|&va| eval_binop(*op, va, i32::from(*lit)))
+                HInsn::Move { dst, src } => known[src.index()].map(|v| (*dst, v)),
+                HInsn::Bin { op, dst, a, b } => known[a.index()]
+                    .zip(known[b.index()])
+                    .and_then(|(va, vb)| eval_binop(*op, va, vb))
+                    .map(|v| (*dst, v)),
+                HInsn::BinLit { op, dst, a, lit } => known[a.index()]
+                    .and_then(|va| eval_binop(*op, va, i32::from(*lit)))
                     .map(|v| (*dst, v)),
                 _ => None,
             };
             match rewritten {
                 Some((dst, value)) => {
                     *insn = HInsn::Const { dst, value };
-                    known.insert(dst, value);
+                    known[dst.index()] = Some(value);
                     changes += 1;
                 }
                 None => {
                     if let Some(dst) = insn.writes() {
-                        known.remove(&dst);
+                        known[dst.index()] = None;
                     }
                 }
             }
         }
         // Branch simplification on statically-known conditions.
         let new_term = match &block.terminator {
-            HTerminator::If { cmp, a, b, then_bb, else_bb } => match (known.get(a), known.get(b)) {
-                (Some(&va), Some(&vb)) => Some(HTerminator::Goto {
+            HTerminator::If { cmp, a, b, then_bb, else_bb } => {
+                known[a.index()].zip(known[b.index()]).map(|(va, vb)| HTerminator::Goto {
                     target: if eval_cmp(*cmp, va, vb) { *then_bb } else { *else_bb },
-                }),
-                _ => None,
-            },
+                })
+            }
             HTerminator::IfZ { cmp, a, then_bb, else_bb } => {
-                known.get(a).map(|&va| HTerminator::Goto {
+                known[a.index()].map(|va| HTerminator::Goto {
                     target: if eval_cmp(*cmp, va, 0) { *then_bb } else { *else_bb },
                 })
             }
-            HTerminator::Switch { src, first_key, targets, default } => known.get(src).map(|&v| {
-                let idx = i64::from(v) - i64::from(*first_key);
-                let target = if idx >= 0 && (idx as usize) < targets.len() {
-                    targets[idx as usize]
-                } else {
-                    *default
-                };
-                HTerminator::Goto { target }
-            }),
+            HTerminator::Switch { src, first_key, targets, default } => {
+                known[src.index()].map(|v| {
+                    let idx = i64::from(v) - i64::from(*first_key);
+                    let target = if idx >= 0 && (idx as usize) < targets.len() {
+                        targets[idx as usize]
+                    } else {
+                        *default
+                    };
+                    HTerminator::Goto { target }
+                })
+            }
             _ => None,
         };
         if let Some(t) = new_term {
@@ -80,7 +78,7 @@ pub fn run(graph: &mut HGraph) -> usize {
 mod tests {
     use super::*;
     use crate::graph::{BlockId, HBlock};
-    use calibro_dex::{BinOp, Cmp, MethodId};
+    use calibro_dex::{BinOp, Cmp, MethodId, VReg};
 
     fn graph(blocks: Vec<HBlock>, num_regs: u16) -> HGraph {
         HGraph { method: MethodId(0), blocks, num_regs, num_args: 0 }

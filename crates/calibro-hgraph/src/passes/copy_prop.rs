@@ -1,34 +1,31 @@
 //! Local copy propagation: within a block, uses of a copied register are
 //! redirected to the copy source while the copy relation holds.
 
-use std::collections::HashMap;
-
 use calibro_dex::VReg;
 
-use crate::graph::{HGraph, HInsn, HTerminator};
+use crate::graph::{HGraph, HInsn};
 
 /// Runs the pass; returns the number of operand replacements.
 pub fn run(graph: &mut HGraph) -> usize {
     let mut changes = 0;
+    // copy_of[r] = Some(s)  means  r currently holds the same value as s.
+    let mut copy_of: Vec<Option<VReg>> = vec![None; usize::from(graph.num_regs)];
     for block in &mut graph.blocks {
-        // copy_of[r] = s  means  r currently holds the same value as s.
-        let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
-        let resolve =
-            |copy_of: &HashMap<VReg, VReg>, r: VReg| copy_of.get(&r).copied().unwrap_or(r);
-        let kill = |copy_of: &mut HashMap<VReg, VReg>, dst: VReg| {
-            copy_of.remove(&dst);
-            copy_of.retain(|_, src| *src != dst);
+        copy_of.fill(None);
+        let kill = |copy_of: &mut [Option<VReg>], dst: VReg| {
+            copy_of.iter_mut().filter(|c| **c == Some(dst)).for_each(|c| *c = None);
+            copy_of[dst.index()] = None;
         };
 
         for insn in &mut block.insns {
             // Rewrite reads first.
-            changes += rewrite_reads(insn, |r| resolve(&copy_of, r));
+            changes += rewrite(insn.reads_mut(), &copy_of);
             // Then update the relation for the write.
             match insn {
                 HInsn::Move { dst, src } if dst != src => {
                     let (d, s) = (*dst, *src);
                     kill(&mut copy_of, d);
-                    copy_of.insert(d, s);
+                    copy_of[d.index()] = Some(s);
                 }
                 _ => {
                     if let Some(dst) = insn.writes() {
@@ -37,60 +34,19 @@ pub fn run(graph: &mut HGraph) -> usize {
                 }
             }
         }
-        changes += rewrite_terminator_reads(&mut block.terminator, |r| resolve(&copy_of, r));
+        changes += rewrite(block.terminator.reads_mut(), &copy_of);
     }
     changes
 }
 
-fn rewrite_reads(insn: &mut HInsn, resolve: impl Fn(VReg) -> VReg) -> usize {
+/// Redirects each operand to its copy source; returns how many changed.
+fn rewrite<'a>(operands: impl Iterator<Item = &'a mut VReg>, copy_of: &[Option<VReg>]) -> usize {
     let mut n = 0;
-    let mut fix = |r: &mut VReg| {
-        let to = resolve(*r);
-        if to != *r {
-            *r = to;
+    for r in operands {
+        if let Some(src) = copy_of[r.index()].filter(|s| s != r) {
+            *r = src;
             n += 1;
         }
-    };
-    match insn {
-        HInsn::Move { src, .. } => fix(src),
-        HInsn::Bin { a, b, .. } => {
-            fix(a);
-            fix(b);
-        }
-        HInsn::BinLit { a, .. } => fix(a),
-        HInsn::IGet { obj, .. } => fix(obj),
-        HInsn::IPut { src, obj, .. } => {
-            fix(src);
-            fix(obj);
-        }
-        HInsn::SPut { src, .. } => fix(src),
-        HInsn::Invoke { args, .. } | HInsn::InvokeNative { args, .. } => {
-            for a in args {
-                fix(a);
-            }
-        }
-        _ => {}
-    }
-    n
-}
-
-fn rewrite_terminator_reads(term: &mut HTerminator, resolve: impl Fn(VReg) -> VReg) -> usize {
-    let mut n = 0;
-    let mut fix = |r: &mut VReg| {
-        let to = resolve(*r);
-        if to != *r {
-            *r = to;
-            n += 1;
-        }
-    };
-    match term {
-        HTerminator::If { a, b, .. } => {
-            fix(a);
-            fix(b);
-        }
-        HTerminator::IfZ { a, .. } | HTerminator::Switch { src: a, .. } => fix(a),
-        HTerminator::Return { src: Some(a) } | HTerminator::Throw { src: a } => fix(a),
-        _ => {}
     }
     n
 }
@@ -98,7 +54,7 @@ fn rewrite_terminator_reads(term: &mut HTerminator, resolve: impl Fn(VReg) -> VR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{BlockId, HBlock};
+    use crate::graph::{BlockId, HBlock, HTerminator};
     use calibro_dex::{BinOp, MethodId};
 
     #[test]

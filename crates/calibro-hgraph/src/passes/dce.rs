@@ -2,123 +2,101 @@
 //! unreachable-block elimination — dex2oat's "dead code and unreachable
 //! code elimination".
 
-use std::collections::HashSet;
+use calibro_dex::RegSet;
 
-use calibro_dex::VReg;
-
-use crate::graph::{BlockId, HGraph, HTerminator};
+use crate::graph::{BlockId, HGraph};
 
 /// Removes pure instructions whose results are never used. Returns the
 /// number of removed instructions.
 pub fn run(graph: &mut HGraph) -> usize {
-    let preds = graph.predecessors();
     let n = graph.blocks.len();
+    let empty = RegSet::new(graph.num_regs);
 
-    // live_out[b]: registers live when leaving block b. Fixpoint.
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); n];
+    // Per block: upward-exposed uses and defs, computed once.
+    let mut uses = vec![empty.clone(); n];
+    let mut defs = vec![empty.clone(); n];
+    for (block, (gen, kill)) in graph.blocks.iter().zip(uses.iter_mut().zip(&mut defs)) {
+        block.terminator.reads().for_each(|r| gen.insert(r));
+        for insn in block.insns.iter().rev() {
+            if let Some(dst) = insn.writes() {
+                kill.insert(dst);
+                gen.remove(dst);
+            }
+            insn.reads().for_each(|r| gen.insert(r));
+        }
+    }
+
+    // live_in[b] = use[b] | (live_out[b] & !def[b]), to the least fixpoint.
+    let mut live_in = vec![empty.clone(); n];
+    let mut live = empty;
     let mut changed = true;
     while changed {
         changed = false;
         for bi in (0..n).rev() {
-            let live_in = live_in_of(graph, bi, &live_out[bi]);
-            for &p in &preds[bi] {
-                for r in &live_in {
-                    if live_out[p.index()].insert(*r) {
-                        changed = true;
-                    }
-                }
-            }
+            live_out(graph, &live_in, bi, &mut live);
+            changed |= live_in[bi].assign_transfer(&uses[bi], &live, &defs[bi]);
         }
     }
 
-    // Sweep each block backwards, dropping dead pure instructions.
+    // Sweep each block backwards, compacting kept instructions to the
+    // tail and dropping dead pure ones.
     let mut removed = 0;
-    for (bi, block_live_out) in live_out.iter().enumerate().take(n) {
-        let mut live = block_live_out.clone();
-        for r in graph.blocks[bi].terminator.reads() {
-            live.insert(r);
-        }
-        let insns = std::mem::take(&mut graph.blocks[bi].insns);
-        let mut kept = Vec::with_capacity(insns.len());
-        for insn in insns.into_iter().rev() {
-            let dead = match insn.writes() {
-                Some(dst) => insn.is_pure() && !live.contains(&dst),
-                None => false,
-            };
-            if dead {
-                removed += 1;
-                continue;
-            }
+    for bi in 0..n {
+        live_out(graph, &live_in, bi, &mut live);
+        let block = &mut graph.blocks[bi];
+        block.terminator.reads().for_each(|r| live.insert(r));
+        let mut keep_from = block.insns.len();
+        for i in (0..block.insns.len()).rev() {
+            let insn = &block.insns[i];
             if let Some(dst) = insn.writes() {
-                live.remove(&dst);
+                if insn.is_pure() && !live.contains(dst) {
+                    removed += 1;
+                    continue;
+                }
+                live.remove(dst);
             }
-            for r in insn.reads() {
-                live.insert(r);
-            }
-            kept.push(insn);
+            insn.reads().for_each(|r| live.insert(r));
+            keep_from -= 1;
+            block.insns.swap(i, keep_from);
         }
-        kept.reverse();
-        graph.blocks[bi].insns = kept;
+        block.insns.drain(..keep_from);
     }
     removed
 }
 
-/// Computes live-in of block `bi` given its live-out set.
-fn live_in_of(graph: &HGraph, bi: usize, live_out: &HashSet<VReg>) -> HashSet<VReg> {
-    let block = &graph.blocks[bi];
-    let mut live = live_out.clone();
-    for r in block.terminator.reads() {
-        live.insert(r);
+/// Sets `out` to the union of the live-in sets of `bi`'s successors.
+fn live_out(graph: &HGraph, live_in: &[RegSet], bi: usize, out: &mut RegSet) {
+    out.clear();
+    for s in graph.blocks[bi].terminator.successors() {
+        out.union_with(&live_in[s.index()]);
     }
-    for insn in block.insns.iter().rev() {
-        if let Some(dst) = insn.writes() {
-            live.remove(&dst);
-        }
-        for r in insn.reads() {
-            live.insert(r);
-        }
-    }
-    live
 }
 
 /// Removes blocks unreachable from the entry and renumbers the rest.
 /// Returns the number of removed blocks.
 pub fn remove_unreachable(graph: &mut HGraph) -> usize {
-    let reachable: HashSet<BlockId> = graph.reachable().into_iter().collect();
-    if reachable.len() == graph.blocks.len() {
+    let reached = graph.reachable();
+    if reached.len() == graph.blocks.len() {
         return 0;
     }
-    // Build the renumbering map.
+    // Build the renumbering map: reachable blocks keep their order.
     let mut remap = vec![None; graph.blocks.len()];
+    for b in reached {
+        remap[b.index()] = Some(BlockId(0));
+    }
     let mut next = 0u32;
-    for (i, block) in graph.blocks.iter().enumerate() {
-        if reachable.contains(&block.id) {
-            remap[i] = Some(BlockId(next));
-            next += 1;
-        }
+    for id in remap.iter_mut().flatten() {
+        *id = BlockId(next);
+        next += 1;
     }
     let removed = graph.blocks.len() - next as usize;
     let fix = |b: &mut BlockId| {
         *b = remap[b.index()].expect("edge from a reachable block into a removed block");
     };
-    graph.blocks.retain(|b| reachable.contains(&b.id));
+    graph.blocks.retain(|b| remap[b.id.index()].is_some());
     for block in &mut graph.blocks {
         fix(&mut block.id);
-        match &mut block.terminator {
-            HTerminator::Goto { target } => fix(target),
-            HTerminator::If { then_bb, else_bb, .. }
-            | HTerminator::IfZ { then_bb, else_bb, .. } => {
-                fix(then_bb);
-                fix(else_bb);
-            }
-            HTerminator::Switch { targets, default, .. } => {
-                for t in targets {
-                    fix(t);
-                }
-                fix(default);
-            }
-            _ => {}
-        }
+        block.terminator.successors_mut().for_each(fix);
     }
     removed
 }
@@ -126,8 +104,8 @@ pub fn remove_unreachable(graph: &mut HGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{HBlock, HInsn};
-    use calibro_dex::{BinOp, Cmp, MethodId};
+    use crate::graph::{HBlock, HInsn, HTerminator};
+    use calibro_dex::{BinOp, Cmp, MethodId, VReg};
 
     #[test]
     fn removes_dead_pure_code() {

@@ -115,9 +115,9 @@ pub fn run_inlining(graphs: &mut [Option<HGraph>], config: &InlineConfig) -> usi
         let shift = |v: VReg| if v.0 >= first_arg { VReg(v.0 + clone_regs) } else { v };
         for block in &mut graph.blocks {
             for insn in &mut block.insns {
-                *insn = remap_insn(insn, &shift);
+                rename(insn, shift);
             }
-            remap_terminator(&mut block.terminator, &shift);
+            block.terminator.reads_mut().for_each(|r| *r = shift(*r));
         }
         graph.num_regs = old_n + clone_regs;
         // Clones go into the vacated range [first_arg, first_arg + G).
@@ -154,18 +154,6 @@ pub fn run_inlining(graphs: &mut [Option<HGraph>], config: &InlineConfig) -> usi
     inlined
 }
 
-fn remap_terminator(term: &mut HTerminator, remap: &impl Fn(VReg) -> VReg) {
-    match term {
-        HTerminator::If { a, b, .. } => {
-            *a = remap(*a);
-            *b = remap(*b);
-        }
-        HTerminator::IfZ { a, .. } | HTerminator::Switch { src: a, .. } => *a = remap(*a),
-        HTerminator::Return { src: Some(a) } | HTerminator::Throw { src: a } => *a = remap(*a),
-        _ => {}
-    }
-}
-
 /// Splices a callee body into `out`, remapping callee registers to a
 /// fresh range starting at `base` and wiring arguments/return.
 fn splice(base: u16, body: &InlineBody, args: &[VReg], dst: Option<VReg>, out: &mut Vec<HInsn>) {
@@ -176,7 +164,9 @@ fn splice(base: u16, body: &InlineBody, args: &[VReg], dst: Option<VReg>, out: &
         out.push(HInsn::Move { dst: remap(VReg(first_arg + i as u16)), src: arg });
     }
     for insn in &body.insns {
-        out.push(remap_insn(insn, &remap));
+        let mut insn = insn.clone();
+        rename(&mut insn, remap);
+        out.push(insn);
     }
     match (dst, body.returned) {
         (Some(d), Some(r)) => out.push(HInsn::Move { dst: d, src: remap(r) }),
@@ -185,32 +175,11 @@ fn splice(base: u16, body: &InlineBody, args: &[VReg], dst: Option<VReg>, out: &
     }
 }
 
-fn remap_insn(insn: &HInsn, remap: &impl Fn(VReg) -> VReg) -> HInsn {
-    match insn.clone() {
-        HInsn::Const { dst, value } => HInsn::Const { dst: remap(dst), value },
-        HInsn::Move { dst, src } => HInsn::Move { dst: remap(dst), src: remap(src) },
-        HInsn::Bin { op, dst, a, b } => {
-            HInsn::Bin { op, dst: remap(dst), a: remap(a), b: remap(b) }
-        }
-        HInsn::BinLit { op, dst, a, lit } => {
-            HInsn::BinLit { op, dst: remap(dst), a: remap(a), lit }
-        }
-        HInsn::IGet { dst, obj, field } => HInsn::IGet { dst: remap(dst), obj: remap(obj), field },
-        HInsn::IPut { src, obj, field } => HInsn::IPut { src: remap(src), obj: remap(obj), field },
-        HInsn::SGet { dst, slot } => HInsn::SGet { dst: remap(dst), slot },
-        HInsn::SPut { src, slot } => HInsn::SPut { src: remap(src), slot },
-        HInsn::NewInstance { dst, class } => HInsn::NewInstance { dst: remap(dst), class },
-        HInsn::Invoke { kind, method, args, dst } => HInsn::Invoke {
-            kind,
-            method,
-            args: args.into_iter().map(remap).collect(),
-            dst: dst.map(remap),
-        },
-        HInsn::InvokeNative { method, args, dst } => HInsn::InvokeNative {
-            method,
-            args: args.into_iter().map(remap).collect(),
-            dst: dst.map(remap),
-        },
+/// Renames every register operand of `insn` through `f`.
+fn rename(insn: &mut HInsn, f: impl Fn(VReg) -> VReg) {
+    insn.reads_mut().for_each(|r| *r = f(*r));
+    if let Some(dst) = insn.writes_mut() {
+        *dst = f(*dst);
     }
 }
 

@@ -168,41 +168,22 @@ pub fn run_pipeline(graph: &mut HGraph) -> PassStats {
 /// only exposes a bounded amount of new work).
 pub fn run_pipeline_with(graph: &mut HGraph, config: &PipelineConfig) -> PassStats {
     let mut stats = PassStats { insns_in: graph.insn_count(), ..PassStats::default() };
+    // (enabled, pass, the counter its changes go to), in pipeline order.
+    type Stage = (bool, fn(&mut HGraph) -> usize, fn(&mut PassStats) -> &mut usize);
+    let passes: [Stage; 7] = [
+        (config.copy_prop, copy_prop::run, |s| &mut s.copies_propagated),
+        (config.constant_folding, constant_folding::run, |s| &mut s.folded),
+        (config.simplify, simplify::run, |s| &mut s.simplified),
+        (config.cse, cse::run, |s| &mut s.cse_hits),
+        (config.dce, dce::run, |s| &mut s.dead_removed),
+        (config.return_merge, return_merge::run, |s| &mut s.returns_merged),
+        (config.remove_unreachable, dce::remove_unreachable, |s| &mut s.blocks_removed),
+    ];
     for _ in 0..4 {
         let mut round = 0;
-        if config.copy_prop {
-            let n = copy_prop::run(graph);
-            stats.copies_propagated += n;
-            round += n;
-        }
-        if config.constant_folding {
-            let n = constant_folding::run(graph);
-            stats.folded += n;
-            round += n;
-        }
-        if config.simplify {
-            let n = simplify::run(graph);
-            stats.simplified += n;
-            round += n;
-        }
-        if config.cse {
-            let n = cse::run(graph);
-            stats.cse_hits += n;
-            round += n;
-        }
-        if config.dce {
-            let n = dce::run(graph);
-            stats.dead_removed += n;
-            round += n;
-        }
-        if config.return_merge {
-            let n = return_merge::run(graph);
-            stats.returns_merged += n;
-            round += n;
-        }
-        if config.remove_unreachable {
-            let n = dce::remove_unreachable(graph);
-            stats.blocks_removed += n;
+        for (_, pass, counter) in passes.iter().filter(|p| p.0) {
+            let n = pass(graph);
+            *counter(&mut stats) += n;
             round += n;
         }
         stats.iterations += 1;

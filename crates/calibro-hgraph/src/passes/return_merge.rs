@@ -39,21 +39,7 @@ pub fn run(graph: &mut HGraph) -> usize {
         }
     };
     for block in &mut graph.blocks {
-        match &mut block.terminator {
-            HTerminator::Goto { target } => fix(target),
-            HTerminator::If { then_bb, else_bb, .. }
-            | HTerminator::IfZ { then_bb, else_bb, .. } => {
-                fix(then_bb);
-                fix(else_bb);
-            }
-            HTerminator::Switch { targets, default, .. } => {
-                for t in targets {
-                    fix(t);
-                }
-                fix(default);
-            }
-            _ => {}
-        }
+        block.terminator.successors_mut().for_each(&mut fix);
     }
     changes
 }
